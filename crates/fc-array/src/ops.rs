@@ -399,7 +399,7 @@ where
     }
     // Aim for a handful of blocks per worker so stripe cost imbalance
     // (ragged validity) evens out without shredding the cache.
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let workers = rayon::current_num_threads();
     let rows_per_block = oh.div_ceil(4 * workers).max(1);
     buf.par_chunks_mut(rows_per_block * ow)
         .with_min_len(2)

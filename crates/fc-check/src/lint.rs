@@ -12,6 +12,7 @@
 //! | `handler-unwrap` | fc-server `src/`                        | no `.unwrap()`/`.expect()`/`panic!` in client-reachable paths |
 //! | `no-print`       | library `src/` (fc-bench and bins exempt) | no `println!`/`eprintln!`/`dbg!` in libraries |
 //! | `wire-string`    | fc-server `src/`                        | wire writes go through the bounded-string helper (`wire_str`) |
+//! | `parallelism-probe` | every `.rs` file outside `crates/shims/rayon` | no `available_parallelism` — ask `rayon::current_num_threads()`, resolved once per process |
 //!
 //! Every rule honours an explicit inline waiver on the same line or
 //! the line above:
@@ -373,6 +374,7 @@ fn rule_applies(rule: &'static str, label: &str) -> bool {
         }
         "std-sync" => is_src(label) && !in_dir(label, "crates/shims/"),
         "handler-unwrap" | "wire-string" => is_src(label) && in_dir(label, "crates/fc-server/"),
+        "parallelism-probe" => !in_dir(label, "crates/shims/rayon/"),
         "no-print" => {
             is_src(label)
                 && !in_dir(label, "crates/fc-bench/")
@@ -581,6 +583,18 @@ fn lint_source_counted(label: &str, src: &str, summary: &mut LintSummary) -> Vec
     }
     if rule_applies("wire-string", label) {
         scan_wire_string(&ctx, &mut out, summary);
+    }
+    if rule_applies("parallelism-probe", label) {
+        scan_tokens(
+            &ctx,
+            "parallelism-probe",
+            &["available_parallelism"],
+            false,
+            "per-call parallelism probe (affinity + cgroup file reads) — use \
+             `rayon::current_num_threads()`, which resolves the count once",
+            &mut out,
+            summary,
+        );
     }
     out
 }

@@ -154,6 +154,39 @@ fn raw_as_bytes_on_wire_fires_and_helper_is_clean() {
 }
 
 // -------------------------------------------------------------------------
+// parallelism-probe
+// -------------------------------------------------------------------------
+
+#[test]
+fn parallelism_probe_fires_everywhere_but_the_rayon_shim() {
+    let src = "fn n() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n";
+    for label in [
+        "crates/fc-core/src/signature.rs",
+        "crates/fc-bench/src/bin/exp.rs",
+        "crates/fc-core/tests/x.rs",
+        "perfbench/src/main.rs",
+    ] {
+        assert_eq!(
+            rules(&lint_source(label, src)),
+            ["parallelism-probe"],
+            "{label}"
+        );
+    }
+    // Test modules pay the probe per call too: no exemption.
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n    {src}}}\n");
+    assert_eq!(
+        rules(&lint_source("crates/fc-array/src/ops.rs", &in_test)),
+        ["parallelism-probe"]
+    );
+    // The shim is where the count is resolved, once.
+    assert!(lint_source("crates/shims/rayon/src/lib.rs", src).is_empty());
+    // The sanctioned accessor and comment mentions are clean.
+    let ok =
+        "// not available_parallelism per call\nfn n() -> usize { rayon::current_num_threads() }\n";
+    assert!(lint_source("crates/fc-core/src/x.rs", ok).is_empty());
+}
+
+// -------------------------------------------------------------------------
 // Waivers
 // -------------------------------------------------------------------------
 

@@ -302,11 +302,12 @@ impl PredictScheduler {
             let mut ranked: Vec<(u64, Vec<TileId>)> = Vec::with_capacity(jobs.len());
             match store.signature_index() {
                 Some(index) => {
-                    // Lazy sizing: the shared cache follows the served
-                    // index's shape (a later epoch bump keeps the
-                    // table and invalidates by generation).
+                    // Lazy sizing: the shared cache's ceiling follows
+                    // the served index's shape (a later epoch bump
+                    // keeps the grown table and invalidates by
+                    // generation).
                     let want = pair_cache_capacity_hint(index.keys().len(), index.ntiles());
-                    if cache.capacity() != want {
+                    if cache.ceiling() != want {
                         cache = PairCache::new(want);
                     }
                     let jobrefs: Vec<SbBatchJob<'_>> = jobs

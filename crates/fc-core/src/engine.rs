@@ -206,13 +206,14 @@ impl PredictionEngine {
     /// Sizes the engine's pair cache for `index`, lazily: only the
     /// unbatched predict path calls this (in scheduler-batched mode
     /// the scheduler's *shared* cache does the caching, and a
-    /// per-session table would be dead weight). When the capacity is
+    /// per-session table would be dead weight). When the ceiling is
     /// already right (the common epoch-bump case) the table is kept
-    /// as-is: `PairCache::begin` sees the new build id and invalidates
-    /// by generation, no clearing pass.
+    /// as-is, at whatever size it has grown to: `PairCache::begin`
+    /// sees the new build id and invalidates by generation, no
+    /// clearing pass.
     fn ensure_pair_cache(&mut self, index: &SignatureIndex) {
         let want = pair_cache_capacity_hint(index.keys().len(), index.ntiles());
-        if self.pair_cache.capacity() != want {
+        if self.pair_cache.ceiling() != want {
             self.pair_cache = PairCache::new(want);
         }
     }
@@ -459,11 +460,15 @@ mod tests {
     }
 
     fn engine(strategy: AllocationStrategy) -> PredictionEngine {
+        engine_over(geometry(), strategy)
+    }
+
+    fn engine_over(g: Geometry, strategy: AllocationStrategy) -> PredictionEngine {
         let r = Move::PanRight.index() as u16;
         let traces: Vec<Vec<u16>> = vec![vec![r; 10]];
         let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
         PredictionEngine::new(
-            geometry(),
+            g,
             AbRecommender::train(refs, 3),
             SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
             PhaseSource::Heuristic,
@@ -472,6 +477,33 @@ mod tests {
                 ..EngineConfig::default()
             },
         )
+    }
+
+    /// A session's first predict sizes the pair cache's *ceiling* for
+    /// the index but allocates only the floor: a session holds far
+    /// fewer pairs than the ceiling allows.
+    #[test]
+    fn fresh_engine_allocates_only_the_floor() {
+        use crate::paircache::FLOOR_SLOTS;
+        let g = Geometry::new(6, 2048, 2048, 64, 64);
+        let s = store(g);
+        let mut e = engine_over(g, AllocationStrategy::Updated);
+        assert_eq!(
+            e.pair_cache.capacity(),
+            0,
+            "no table before the first predict"
+        );
+        e.observe(Request::initial(TileId::new(5, 4, 4)));
+        e.observe(Request::new(TileId::new(5, 4, 5), Some(Move::PanRight)));
+        assert!(!e.predict(&s, 4).is_empty());
+        let ceiling = pair_cache_capacity_hint(1, g.all_tiles().count());
+        assert!(ceiling > FLOOR_SLOTS, "shape must allow growth");
+        assert_eq!(e.pair_cache.ceiling(), ceiling);
+        assert_eq!(e.pair_cache.capacity(), FLOOR_SLOTS);
+        assert!(
+            e.pair_cache_stats().misses > 0,
+            "SB filled through the cache"
+        );
     }
 
     /// Two stores with identical epoch counters must not share a

@@ -55,6 +55,15 @@
 //! pairs session A computed — the multi-user analogue of §6.2's shared
 //! tile cache, applied to prediction arithmetic.
 //!
+//! # Sizing
+//!
+//! A table starts at [`FLOOR_SLOTS`] and doubles, re-inserting the
+//! current generation's live slots, whenever more than half its slots
+//! are live — up to the ceiling it was created with (see
+//! [`crate::signature::pair_cache_capacity_hint`]). A session's engine
+//! holds tens of pairs on the paper's shapes, so it never pays for
+//! (or writes) a table sized for a crowd.
+//!
 //! [`SignatureIndex`]: fc_tiles::SignatureIndex
 
 use crate::sb::Chi2Kernel;
@@ -72,6 +81,11 @@ pub const MAX_CACHED_SIGS: usize = 4;
 /// displaced keys must still be reachable past the neighbour's run,
 /// or they would be evicted and re-missed on every request.
 const PROBE_WINDOW: usize = 24;
+
+/// Slots a table starts with (256 KiB at 64-byte slots) and the
+/// smallest ceiling [`crate::signature::pair_cache_capacity_hint`]
+/// returns.
+pub const FLOOR_SLOTS: usize = 1 << 12;
 
 /// Bits per dense index in a packed pair key (two indices + headroom
 /// must fit 64 bits). Indexes ≥ 2⁲⁸ disable the cache.
@@ -202,6 +216,10 @@ fn home_slot(key: u64, mask: usize) -> usize {
 pub struct PairCache {
     slots: Vec<Slot>,
     mask: usize,
+    /// Most slots the table may grow to (a power of two, or zero).
+    ceiling: usize,
+    /// Slots stamped with the current generation.
+    live: usize,
     /// Current generation; slots stamped otherwise are stale.
     gen: u64,
     /// Fingerprint of the domain the current generation serves
@@ -222,18 +240,24 @@ impl Default for PairCache {
 }
 
 impl PairCache {
-    /// Creates a cache with `capacity` slots (rounded up to a power of
-    /// two; `0` builds a permanently disabled cache that misses every
-    /// probe).
-    pub fn new(capacity: usize) -> Self {
-        let cap = if capacity == 0 {
+    /// Creates a cache that may grow to `ceiling` slots (rounded up
+    /// to a power of two; `0` builds a permanently disabled cache that
+    /// misses every probe). The table starts at [`FLOOR_SLOTS`] (or
+    /// the ceiling, if smaller) and doubles whenever more than half
+    /// its slots hold live pairs, so its footprint follows what it
+    /// holds rather than the ceiling.
+    pub fn new(ceiling: usize) -> Self {
+        let ceiling = if ceiling == 0 {
             0
         } else {
-            capacity.next_power_of_two()
+            ceiling.next_power_of_two()
         };
+        let cap = ceiling.min(FLOOR_SLOTS);
         Self {
             slots: vec![EMPTY_SLOT; cap],
             mask: cap.wrapping_sub(1),
+            ceiling,
+            live: 0,
             // Starts above every pre-initialized slot stamp, so the
             // fresh table reads as all-stale.
             gen: 1,
@@ -245,8 +269,8 @@ impl PairCache {
         }
     }
 
-    /// A cache sized for steady-state prediction over `index` — see
-    /// [`crate::signature::pair_cache_capacity_hint`].
+    /// A cache whose ceiling suits steady-state prediction over
+    /// `index` — see [`crate::signature::pair_cache_capacity_hint`].
     pub fn for_index(index: &SignatureIndex) -> Self {
         Self::new(crate::signature::pair_cache_capacity_hint(
             index.keys().len(),
@@ -254,9 +278,16 @@ impl PairCache {
         ))
     }
 
-    /// Slot count (a power of two, or zero when permanently disabled).
+    /// Current slot count (a power of two, or zero when permanently
+    /// disabled); grows towards [`Self::ceiling`].
     pub fn capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// The most slots the table may grow to — what the cache was
+    /// sized for, and what owners compare against a fresh sizing hint.
+    pub fn ceiling(&self) -> usize {
+        self.ceiling
     }
 
     /// Counter snapshot.
@@ -286,6 +317,7 @@ impl PairCache {
             }
             self.domain = Some(fp);
             self.gen += 1;
+            self.live = 0;
         }
         self.enabled = !self.slots.is_empty()
             && keys.len() <= MAX_CACHED_SIGS
@@ -343,27 +375,56 @@ impl PairCache {
             return;
         }
         debug_assert!(vals.len() <= MAX_CACHED_SIGS);
-        let gen = self.gen;
-        let home = home_slot(key, self.mask);
-        let mut victim = home;
-        let mut i = home;
-        for _ in 0..PROBE_WINDOW {
-            let s = &self.slots[i];
-            if s.gen != gen || s.key == key {
-                victim = i;
-                break;
-            }
-            i = (i + 1) & self.mask;
-        }
-        // Window full of live foreign keys: evict the home slot. That
-        // keeps the probe invariant (stale slots never reappear within
-        // a generation) — eviction replaces live with live.
+        let (victim, fresh) = self.victim(key);
         let s = &mut self.slots[victim];
         s.key = key;
-        s.gen = gen;
+        s.gen = self.gen;
         s.dmanh = dmanh;
         s.denom = denom;
         s.vals[..vals.len()].copy_from_slice(vals);
+        self.live += usize::from(fresh);
+        if self.live * 2 > self.slots.len() && self.slots.len() < self.ceiling {
+            self.grow();
+        }
+    }
+
+    /// The slot an insert of `key` writes: the first stale (or
+    /// matching) slot of its probe window, and whether it was stale —
+    /// i.e. whether the write adds a live pair. A window full of live
+    /// foreign keys evicts the home slot; that keeps the probe
+    /// invariant (stale slots never reappear within a generation) —
+    /// eviction replaces live with live.
+    #[inline]
+    fn victim(&self, key: u64) -> (usize, bool) {
+        let home = home_slot(key, self.mask);
+        let mut i = home;
+        for _ in 0..PROBE_WINDOW {
+            let s = &self.slots[i];
+            if s.gen != self.gen {
+                return (i, true);
+            }
+            if s.key == key {
+                return (i, false);
+            }
+            i = (i + 1) & self.mask;
+        }
+        (home, false)
+    }
+
+    /// Doubles the table, re-inserting the current generation's live
+    /// slots in table order; stale slots are dropped. Re-insertion
+    /// runs the insert placement, so the probe invariant holds in the
+    /// new table as it did in the old.
+    fn grow(&mut self) {
+        let cap = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; cap]);
+        self.mask = cap - 1;
+        self.live = 0;
+        for s in old.iter().filter(|s| s.gen == self.gen) {
+            let (i, fresh) = self.victim(s.key);
+            self.slots[i] = *s;
+            self.live += usize::from(fresh);
+        }
     }
 
     /// Adds one fill's hit/miss totals to the monotonic counters.
@@ -439,6 +500,61 @@ mod tests {
             .collect();
         let mut c = PairCache::new(64);
         assert!(!c.begin(&ix, Chi2Kernel::Exact, &many));
+    }
+
+    /// Inserts `n` distinct pairs `(i, i + 1)` from `first` on, valued
+    /// by their index plus `salt`.
+    fn fill(c: &mut PairCache, first: usize, n: usize, salt: f64) {
+        for i in first..first + n {
+            c.insert(pair_key(i, i + 1), &[i as f64 + salt], 1, 1.0);
+        }
+    }
+
+    #[test]
+    fn tables_start_at_the_floor_below_a_larger_ceiling() {
+        let c = PairCache::new(1 << 16);
+        assert_eq!((c.capacity(), c.ceiling()), (FLOOR_SLOTS, 1 << 16));
+        // A ceiling under the floor is the whole table, as before.
+        let c = PairCache::new(64);
+        assert_eq!((c.capacity(), c.ceiling()), (64, 64));
+    }
+
+    #[test]
+    fn doubling_keeps_live_pairs_and_drops_stale_ones() {
+        let ix = small_index();
+        let keys = [MetaKey::intern("sig")];
+        let mut c = PairCache::new(2 * FLOOR_SLOTS);
+        assert!(c.begin(&ix, Chi2Kernel::Exact, &keys));
+        // A generation's worth of pairs that the next domain makes
+        // stale; some share keys with the live pairs below.
+        fill(&mut c, 0, 1000, 0.5);
+        assert!(c.begin(&ix, Chi2Kernel::Reciprocal, &keys));
+        let half = FLOOR_SLOTS / 2;
+        fill(&mut c, 500, half, 0.0);
+        assert_eq!(
+            c.capacity(),
+            FLOOR_SLOTS,
+            "exactly half live: no growth yet"
+        );
+        fill(&mut c, 500 + half, 1, 0.0);
+        assert_eq!(c.capacity(), 2 * FLOOR_SLOTS, "past half: doubled");
+        // Every live pair reads back its own value after the rehash.
+        for i in 500..500 + half + 1 {
+            let s = c.probe(pair_key(i, i + 1)).expect("live pair kept");
+            assert_eq!(s.vals[0], i as f64);
+        }
+        // The stale-only pairs are gone: they neither probe nor occupy
+        // a slot of the new table.
+        for i in 0..500 {
+            assert!(c.probe(pair_key(i, i + 1)).is_none(), "stale pair {i}");
+        }
+        let written = c.slots.iter().filter(|s| s.gen != 0).count();
+        assert_eq!(written, half + 1);
+        assert_eq!(c.live, half + 1);
+        assert!(c.slots.iter().all(|s| s.gen == 0 || s.gen == c.gen));
+        // At the ceiling the table stops growing and evicts instead.
+        fill(&mut c, 10_000, 3 * FLOOR_SLOTS, 0.0);
+        assert_eq!(c.capacity(), c.ceiling());
     }
 
     #[test]

@@ -112,29 +112,31 @@ impl SignatureConfig {
     }
 }
 
-/// Sizing hint for the χ² pair cache ([`crate::paircache::PairCache`]):
-/// slots for `nsig` signatures over an `ntiles`-tile index.
+/// Ceiling for the χ² pair cache ([`crate::paircache::PairCache`]):
+/// the most slots its table may grow to for `nsig` signatures over an
+/// `ntiles`-tile index.
 ///
-/// An interactive request touches `|C| × |R|` pairs (≤ 64 × 16 = 1024
-/// at the acceptance shape) and a pan/zoom neighbourhood revisits a few
-/// multiples of that, so the working set scales with how much of the
-/// pyramid a session explores — not with the full pair count `ntiles²`.
-/// One slot covers **all** of a pair's signatures, so `nsig` barely
-/// matters; `32 × nsig × ntiles` keeps the load factor low enough
-/// (≲ 0.1 for serpentine exploration of a whole level) that the
-/// additive slot mapping's runs-of-`|R|` rarely overlap another
-/// candidate's probe window — overlaps turn into chronic
-/// evict-and-recompute churn. A sparse table is cheap: warm probes
-/// touch only the live runs, so the cache *footprint* scales with the
-/// working set, not the table. The result is clamped to `[2¹², 2¹⁸]`
-/// slots (256 KiB – 16 MiB of address space at 64-byte slots; engines
-/// allocate lazily and scheduler-batched sessions share one table).
+/// The table starts at [`crate::paircache::FLOOR_SLOTS`] and doubles
+/// whenever more than half its slots hold live pairs, so memory
+/// follows the pairs a session (or a scheduler's crowd) has actually
+/// computed; this hint only caps that growth. An interactive request
+/// touches `|C| × |R|` pairs (≤ 64 × 16 = 1024 at the acceptance
+/// shape), and one slot covers **all** of a pair's signatures, so
+/// `nsig` barely matters. `16 × nsig × ntiles` bounds the table's
+/// memory on the multi-user shapes: a crowd of 66 sessions over a
+/// 5,460-tile single-signature index computes ≈ 184k distinct pairs,
+/// which fill any ceiling up to 2¹⁸; at 2¹⁷ slots (8 MiB) the table
+/// is full and evicts, trading some hit rate (0.97 → 0.89 on that
+/// shape) for half the memory. A single analyst's session holds tens
+/// to a few thousand live pairs and never leaves the floor or its
+/// first doublings. The result is clamped to `[2¹², 2¹⁸]` slots
+/// (256 KiB – 16 MiB at 64-byte slots).
 pub fn pair_cache_capacity_hint(nsig: usize, ntiles: usize) -> usize {
     nsig.max(1)
         .saturating_mul(ntiles.max(1))
-        .saturating_mul(32)
+        .saturating_mul(16)
         .next_power_of_two()
-        .clamp(1 << 12, 1 << 18)
+        .clamp(crate::paircache::FLOOR_SLOTS, 1 << 18)
 }
 
 /// Renders a tile to the grayscale image the vision signatures consume.
@@ -281,7 +283,7 @@ impl MetadataComputer for SignatureComputer {
 /// parallel map over the spans lets each worker keep mutable scratch
 /// across its whole span while preserving input order.
 fn worker_spans<T>(items: &[T]) -> Vec<&[T]> {
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let workers = rayon::current_num_threads();
     items.chunks(items.len().div_ceil(workers).max(1)).collect()
 }
 

@@ -3,10 +3,12 @@
 //! cross-session batched jobs — against one long-lived cache, and
 //! assert that every result is bit-identical to the locked reference
 //! path [`SbRecommender::distances`] in `Exact` mode, and within the
-//! documented [`CHI2_RECIPROCAL_EPSILON`] in `Reciprocal` mode.
+//! documented [`CHI2_RECIPROCAL_EPSILON`] in `Reciprocal` mode. One
+//! input starts the table at its floor and grows it to its ceiling
+//! mid-walk.
 
 use fc_array::{IoMode, LatencyModel, SimClock};
-use fc_core::paircache::PairCache;
+use fc_core::paircache::{PairCache, FLOOR_SLOTS};
 use fc_core::sb::{
     Chi2Kernel, PredictScratch, SbBatchJob, SbConfig, SbRecommender, CHI2_RECIPROCAL_EPSILON,
 };
@@ -161,6 +163,64 @@ proptest! {
         }
         let stats = cache.stats();
         prop_assert!(stats.hits + stats.misses > 0, "walk exercised the cache");
+    }
+
+    /// Exact mode through a table that starts at the floor and grows
+    /// to its ceiling mid-walk: every doubling re-inserts the live
+    /// pairs, and every step stays bit-identical to the reference.
+    /// Each step scores a 16×16 block of deepest-level candidates
+    /// against 15 fixed level-2 tiles plus one varying ROI tile, and
+    /// moves the block right by one or two columns. Step 0 thus holds
+    /// ≥ 3,840 live pairs and each later step adds ≥ 240 new ones, so
+    /// three steps pass half of the 8,192-slot table; consecutive
+    /// blocks overlap, so later steps hit.
+    #[test]
+    fn growing_table_exact_is_bit_identical(
+        steps in proptest::collection::vec((1u32..3, 0u32..3, 0u8..3), 3..7),
+        salt in any::<u64>(),
+    ) {
+        let g = Geometry::new(5, 512, 512, 16, 16);
+        let store = synthetic_store(g, salt);
+        let sb = SbRecommender::new(SbConfig::all_equal());
+        let ceiling = 4 * FLOOR_SLOTS;
+        let mut cache = PairCache::new(ceiling);
+        prop_assert_eq!(cache.capacity(), FLOOR_SLOTS);
+        let mut scratch = PredictScratch::default();
+        let mut out = Vec::new();
+        let (mut x0, mut y0) = (0u32, 0u32);
+        for (i, &(dx, dy, roi_code)) in steps.iter().enumerate() {
+            x0 += dx;
+            y0 += dy;
+            let cands: Vec<TileId> = (0..256)
+                .map(|k| TileId::new(4, y0 + k / 16, x0 + k % 16))
+                .collect();
+            let extra = match roi_code {
+                // All of level 2: the one-hash-per-candidate fast path.
+                0 => TileId::new(2, 3, 3),
+                // A candidate-level tile: the general path.
+                1 => TileId::new(4, y0, x0),
+                // Out of geometry: ranks as missing, cached or not.
+                _ => TileId::new(7, 0, 0),
+            };
+            let roi: Vec<TileId> = (0..15)
+                .map(|k| TileId::new(2, k / 4, k % 4))
+                .chain([extra])
+                .collect();
+            // A late epoch bump: the grown table is kept and
+            // invalidated by generation.
+            if i == 4 {
+                let vals = sig_values(salt ^ 0x9E37, 8);
+                store.put_meta(cands[0], SignatureKind::Hist1D.meta_name(), vals);
+            }
+            let index = store.signature_index().expect("synthetic metadata");
+            let reference = sb.distances(&store, &cands, &roi);
+            sb.distances_indexed_cached_into(
+                &index, &cands, &roi, &mut cache, &mut scratch, &mut out,
+            );
+            assert_bits(&reference, &out, &format!("step {i} at {} slots", cache.capacity()));
+        }
+        prop_assert_eq!(cache.capacity(), ceiling, "table grew to its ceiling");
+        prop_assert!(cache.stats().hits > 0, "overlapping blocks hit");
     }
 
     /// Reciprocal mode: the same replay stays within the documented

@@ -425,9 +425,13 @@ fn serve_msg(
         }
     };
     // The push planner settles served requests before the middleware
-    // runs: "used" means pushed strictly before requested.
+    // runs: "used" means pushed strictly before requested. Only the
+    // planner drains `requested`, so without one nothing is recorded
+    // (the list would otherwise grow with every request).
     if let ClientMsg::RequestTile { tile, .. } = &msg {
-        s.requested.push(*tile);
+        if config.push.is_some() {
+            s.requested.push(*tile);
+        }
         // Live serving drives the session's burst timeline with the
         // real inter-request gap (the analyst's think time), exactly
         // as the threaded session loop does — the replay harnesses
@@ -597,5 +601,84 @@ fn push_tick(
         s.wq.push_back(reply.encode_into(frame).to_vec());
         flush_writes(s, now);
         sync_interest(ep, s);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{DatasetSpec, ServedDataset};
+    use fc_array::{DenseArray, Schema};
+    use fc_core::engine::PhaseSource;
+    use fc_core::signature::SignatureKind;
+    use fc_core::{AbRecommender, EngineConfig, PredictionEngine, SbConfig, SbRecommender};
+    use fc_tiles::{Move, PyramidBuilder, PyramidConfig};
+
+    /// One isolated dataset: a 3-level pyramid of 8×8 tiles over a
+    /// 32×32 gradient, served by an AB pan-right engine.
+    fn served_tiny() -> ServedDatasets {
+        let schema = Schema::grid2d("G", 32, 32, &["v"]).unwrap();
+        let data: Vec<f64> = (0..32 * 32).map(|i| (i % 32) as f64).collect();
+        let base = DenseArray::from_vec(schema, data).unwrap();
+        let pyramid = Arc::new(
+            PyramidBuilder::new()
+                .build(&base, &PyramidConfig::simple(3, 8, &["v"]))
+                .unwrap(),
+        );
+        let g = pyramid.geometry();
+        let engines: crate::EngineFactory = Arc::new(move || {
+            let trace = vec![Move::PanRight.index() as u16; 10];
+            PredictionEngine::new(
+                g,
+                AbRecommender::train([trace.as_slice()], 3),
+                SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
+                PhaseSource::Heuristic,
+                EngineConfig::default(),
+            )
+        });
+        let spec = DatasetSpec {
+            name: "tiny".into(),
+            pyramid,
+            engines,
+        };
+        ServedDatasets {
+            datasets: vec![ServedDataset { spec, shared: None }],
+            registry: None,
+        }
+    }
+
+    #[test]
+    fn push_off_session_holds_no_requested_tiles() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut s = Session::new(stream, 0, Instant::now());
+        let served = served_tiny();
+        let config = ServerConfig::default();
+        assert!(config.push.is_none());
+        let mut frame = FrameBuf::new();
+        let hello = ClientMsg::Hello {
+            prefetch_k: 2,
+            dataset: String::new(),
+        };
+        s.rbuf.extend_from_slice(&hello.encode());
+        let n = 40;
+        for i in 0..n {
+            let req = ClientMsg::RequestTile {
+                tile: TileId::new(2, (i / 4) % 4, i % 4),
+                mv: None,
+            };
+            s.rbuf.extend_from_slice(&req.encode());
+        }
+        serve_buffered(&mut s, &served, &config, &mut frame);
+        // Every request was served: a Welcome plus one Tile each.
+        assert_eq!(s.wq.len(), 1 + n as usize);
+        for f in s.wq.iter().skip(1) {
+            let reply = ServerMsg::decode(bytes::Bytes::from(f[4..].to_vec())).unwrap();
+            assert!(matches!(reply, ServerMsg::Tile { .. }), "{reply:?}");
+        }
+        // Nothing drains `requested` without a push planner, so
+        // nothing may be recorded there.
+        assert!(s.requested.is_empty(), "{} pending", s.requested.len());
     }
 }

@@ -227,7 +227,7 @@ pub(crate) struct ServedDatasets {
     /// The registry partitioning the global budget (multi-user mode).
     /// Held so the namespaces stay attached for the server's lifetime.
     #[allow(dead_code)]
-    registry: Option<Arc<DatasetRegistry>>,
+    pub(crate) registry: Option<Arc<DatasetRegistry>>,
 }
 
 impl ServedDatasets {

@@ -11,19 +11,47 @@
 //! Small inputs (fewer than [`PAR_MIN_LEN`] elements, overridable with
 //! `with_min_len`) run inline on the calling thread: spawning threads
 //! costs tens of microseconds, which would swamp the per-request
-//! prediction path at interactive candidate-set sizes.
+//! prediction path at interactive candidate-set sizes. The size test
+//! comes first, so an inline call does no other work.
+//!
+//! The worker count is resolved once per process by
+//! [`current_num_threads`], as real rayon sizes its global pool once.
+//! `std::thread::available_parallelism` reads the affinity mask and
+//! the cgroup CPU quota files on every call (7 file syscalls and
+//! ≈ 13–15 µs per call on a cgroup-limited 2-vCPU Linux VM), far too
+//! much to pay per request; it is called nowhere else in the
+//! workspace (the `fc-check lint` rule `parallelism-probe` enforces
+//! that).
 
 #![warn(missing_docs)]
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Below this many items a "parallel" call runs sequentially inline.
 pub const PAR_MIN_LEN: usize = 1024;
 
-fn workers() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+/// The number of worker threads a parallel call splits its input
+/// across: the host's available parallelism, probed on first use and
+/// fixed for the life of the process (real rayon's name for the size
+/// of the current pool, so call sites compile against either crate).
+pub fn current_num_threads() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// The worker count for an input of `len` items, or `None` when the
+/// call should run inline: below `min_len`, or on a one-worker host.
+fn split_workers(len: usize, min_len: usize) -> Option<usize> {
+    if len < min_len {
+        return None;
+    }
+    let nw = current_num_threads();
+    (nw > 1).then_some(nw)
 }
 
 /// The `rayon::prelude`, re-exporting the traits that add `par_*`
@@ -86,11 +114,10 @@ impl<'a, T: Sync> ParIter<'a, T> {
     where
         F: Fn(&'a T) + Sync,
     {
-        let nw = workers();
-        if self.items.len() < self.min_len || nw == 1 {
+        let Some(nw) = split_workers(self.items.len(), self.min_len) else {
             self.items.iter().for_each(f);
             return;
-        }
+        };
         let chunk = self.items.len().div_ceil(nw);
         std::thread::scope(|s| {
             for span in self.items.chunks(chunk) {
@@ -116,10 +143,9 @@ where
     /// Collects the mapped values in input order.
     pub fn collect<C: From<Vec<R>>>(self) -> C {
         let items = self.iter.items;
-        let nw = workers();
-        if items.len() < self.iter.min_len || nw == 1 {
+        let Some(nw) = split_workers(items.len(), self.iter.min_len) else {
             return items.iter().map(self.f).collect::<Vec<R>>().into();
-        }
+        };
         let chunk = items.len().div_ceil(nw);
         let mut parts: Vec<Vec<R>> = Vec::with_capacity(nw);
         std::thread::scope(|s| {
@@ -187,13 +213,12 @@ impl<T: Send> ParChunksMutEnumerate<'_, T> {
     {
         let inner = self.0;
         let nchunks = inner.items.len().div_ceil(inner.chunk_size.max(1));
-        let nw = workers();
-        if nchunks < inner.min_chunks || nw == 1 {
+        let Some(nw) = split_workers(nchunks, inner.min_chunks) else {
             for pair in inner.items.chunks_mut(inner.chunk_size).enumerate() {
                 f(pair);
             }
             return;
-        }
+        };
         // One contiguous span of chunks per worker.
         let chunks_per_worker = nchunks.div_ceil(nw);
         let span = chunks_per_worker * inner.chunk_size;
@@ -223,6 +248,19 @@ mod tests {
         for (i, d) in doubled.iter().enumerate() {
             assert_eq!(*d, 2 * i as u64);
         }
+    }
+
+    #[test]
+    fn worker_count_is_stable_and_positive() {
+        let n = super::current_num_threads();
+        assert!(n >= 1);
+        assert_eq!(super::current_num_threads(), n);
+    }
+
+    #[test]
+    fn split_is_inline_below_threshold() {
+        assert_eq!(super::split_workers(3, super::PAR_MIN_LEN), None);
+        assert_eq!(super::split_workers(0, 1), None);
     }
 
     #[test]
